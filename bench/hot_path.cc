@@ -19,6 +19,10 @@
 //    probe + snapshot RestoreVm, per sim target (Intel configs), plus the
 //    cached-path rate at several config-diversity levels through a
 //    capacity-16 LRU (d=64 deliberately thrashes it).
+//  * vm_state ns/op — the per-execution VM-state path, each against the
+//    reference it replaced: VMCS field lookup (slot table vs linear
+//    scan), Vmcs and Vmcb FromBitImage (byte codec vs bit loop), and a
+//    PlantGuestMemory-shaped write/read mix (flat table vs std::map).
 //
 // `--smoke` shrinks budgets for CI; `--json=PATH` writes the
 // schema_version-1 result file tools/check_bench_json.py diffs against
@@ -31,12 +35,15 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/arch/vmcb.h"
+#include "src/arch/vmcs.h"
 #include "src/core/config/configurator.h"
 #include "src/core/snapshot_cache.h"
 #include "src/core/wire.h"
 #include "src/fuzz/bitmap.h"
 #include "src/hv/coverage.h"
 #include "src/hv/factory.h"
+#include "src/hv/guest_memory.h"
 #include "src/support/rng.h"
 
 namespace neco {
@@ -447,6 +454,147 @@ void BenchExecCore(BenchJson& json, bool smoke) {
   }
 }
 
+// --- vm_state: field index, bit-image decode, guest memory --------------
+
+// Field lookups in a shuffled order the compiler cannot fold.
+double FieldIndexNs(const std::vector<VmcsField>& fields, uint64_t iters,
+                    bool scalar) {
+  uint64_t sink = 0;
+  const double secs = TimeSeconds([&] {
+    for (uint64_t i = 0; i < iters; ++i) {
+      const VmcsField f = fields[i % fields.size()];
+      sink += static_cast<uint64_t>(scalar ? VmcsFieldIndexScalar(f)
+                                           : VmcsFieldIndex(f));
+    }
+  });
+  g_sink = g_sink + sink;
+  return secs * 1e9 / static_cast<double>(iters);
+}
+
+template <typename State>
+double FromBitImageNs(const std::vector<std::vector<uint8_t>>& images,
+                      uint64_t iters, bool scalar) {
+  State state;
+  const double secs = TimeSeconds([&] {
+    for (uint64_t i = 0; i < iters; ++i) {
+      const std::vector<uint8_t>& image = images[i % images.size()];
+      if (scalar) {
+        state.FromBitImageScalar(image);
+      } else {
+        state.FromBitImage(image);
+      }
+    }
+  });
+  g_sink = g_sink + (state == State() ? 0 : 1);
+  return secs * 1e9 / static_cast<double>(iters);
+}
+
+// One execution's guest-memory traffic, as Agent::PlantGuestMemory and
+// the simulators generate it: clear, two region headers, a 16-entry MSR
+// load area, 24 bitmap bits over three bitmaps, then the L0 side reading
+// the area back and testing bitmap bits.
+struct PlantShape {
+  uint64_t msr_base;
+  uint64_t bitmap_base[3];
+  uint16_t bits[24];
+  uint64_t values[16];
+};
+
+template <typename Memory>
+double PlantNs(const std::vector<PlantShape>& shapes, uint64_t execs) {
+  Memory mem;
+  uint64_t sink = 0;
+  const double secs = TimeSeconds([&] {
+    for (uint64_t e = 0; e < execs; ++e) {
+      const PlantShape& p = shapes[e % shapes.size()];
+      mem.Clear();
+      mem.Write32(0x1000, Vmcs::kRevisionId);
+      mem.Write32(0x2000, Vmcs::kRevisionId);
+      for (uint64_t i = 0; i < 16; ++i) {
+        mem.Write64(p.msr_base + i * 16, 0xc0000080 + i);
+        mem.Write64(p.msr_base + i * 16 + 8, p.values[i]);
+      }
+      for (int i = 0; i < 24; ++i) {
+        mem.SetBit(p.bitmap_base[i % 3], p.bits[i], true);
+      }
+      sink += mem.Read32(0x1000);
+      for (uint64_t i = 0; i < 16; ++i) {
+        sink += mem.Read64(p.msr_base + i * 16) +
+                mem.Read64(p.msr_base + i * 16 + 8);
+      }
+      for (int i = 0; i < 24; ++i) {
+        sink += mem.TestBit(p.bitmap_base[i % 3], p.bits[(i * 7) % 24] ^ 1)
+                    ? 1
+                    : 0;
+      }
+    }
+  });
+  g_sink = g_sink + sink;
+  return secs * 1e9 / static_cast<double>(execs);
+}
+
+void BenchVmState(BenchJson& json, bool smoke) {
+  Rng rng(0x5000);
+  std::printf("\n[vm_state per-exec VM-state path, ns/op]\n");
+  std::printf("  %24s %12s %12s %9s\n", "op", "fast_ns", "reference_ns",
+              "speedup");
+  auto report = [&json](const char* label, const std::string& name,
+                        double fast_ns, double ref_ns) {
+    const double speedup = fast_ns > 0 ? ref_ns / fast_ns : 0.0;
+    std::printf("  %24s %12.2f %12.2f %8.1fx\n", label, fast_ns, ref_ns,
+                speedup);
+    json.Metric(name + "_ns", "ns", fast_ns);
+    json.Metric(name + "_scalar_ns", "ns", ref_ns);
+    json.Metric(name + "_speedup", "x", speedup);
+  };
+
+  std::vector<VmcsField> fields;
+  for (int i = 0; i < 4096; ++i) {
+    fields.push_back(VmcsFieldTable()[rng.Below(VmcsFieldCount())].field);
+  }
+  const uint64_t index_iters = smoke ? 200000 : 20000000;
+  report("vmcs field index", "vm_state_field_index",
+         FieldIndexNs(fields, index_iters, false),
+         FieldIndexNs(fields, index_iters / 20, true));
+
+  auto random_images = [&rng](size_t size) {
+    std::vector<std::vector<uint8_t>> images(16, std::vector<uint8_t>(size));
+    for (auto& image : images) {
+      for (auto& b : image) {
+        b = static_cast<uint8_t>(rng.Next());
+      }
+    }
+    return images;
+  };
+  const uint64_t image_iters = smoke ? 2000 : 200000;
+  const auto vmcs_images = random_images(Vmcs::BitImageSize());
+  report("vmcs FromBitImage", "vm_state_vmcs_from_bit_image",
+         FromBitImageNs<Vmcs>(vmcs_images, image_iters, false),
+         FromBitImageNs<Vmcs>(vmcs_images, image_iters / 10, true));
+  const auto vmcb_images = random_images(Vmcb::BitImageSize());
+  report("vmcb FromBitImage", "vm_state_vmcb_from_bit_image",
+         FromBitImageNs<Vmcb>(vmcb_images, image_iters, false),
+         FromBitImageNs<Vmcb>(vmcb_images, image_iters / 10, true));
+
+  std::vector<PlantShape> shapes(64);
+  for (PlantShape& p : shapes) {
+    p.msr_base = rng.Next() & ~0xfULL;
+    for (uint64_t& base : p.bitmap_base) {
+      base = rng.Next() & ~0xfffULL;
+    }
+    for (uint16_t& bit : p.bits) {
+      bit = static_cast<uint16_t>(rng.Below(0x8000));
+    }
+    for (uint64_t& v : p.values) {
+      v = rng.Next();
+    }
+  }
+  const uint64_t plant_execs = smoke ? 2000 : 200000;
+  report("guest memory plant", "vm_state_guest_memory_plant",
+         PlantNs<GuestMemory>(shapes, plant_execs),
+         PlantNs<GuestMemoryScalar>(shapes, plant_execs / 4));
+}
+
 }  // namespace
 }  // namespace neco
 
@@ -469,6 +617,7 @@ int main(int argc, char** argv) {
   neco::BenchDeltaExtract(json, smoke);
   neco::BenchWireCodec(json, smoke);
   neco::BenchExecCore(json, smoke);
+  neco::BenchVmState(json, smoke);
 
   if (!json_path.empty()) {
     if (!json.WriteTo(json_path)) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/arch/vmx_fields.h"
+#include "src/support/bits.h"
 
 namespace neco {
 
@@ -22,12 +23,22 @@ class Vmcs {
   // VMCS region in guest memory; checked by vmptrld/vmclear emulation).
   static constexpr uint32_t kRevisionId = 0x4e65636f;  // 'Neco'
 
-  Vmcs();
-
   // Field accessors; out-of-table fields read as 0 / ignore writes and
-  // return false.
-  uint64_t Read(VmcsField field) const;
-  bool Write(VmcsField field, uint64_t value);
+  // return false. Constant time, and folded at compile time for a literal
+  // field.
+  uint64_t Read(VmcsField field) const {
+    const int idx = VmcsFieldIndex(field);
+    return idx < 0 ? 0 : values_[static_cast<size_t>(idx)];
+  }
+  bool Write(VmcsField field, uint64_t value) {
+    const int idx = VmcsFieldIndex(field);
+    if (idx < 0) {
+      return false;
+    }
+    const size_t i = static_cast<size_t>(idx);
+    values_[i] = value & MaskLow(VmcsFieldTable()[i].bits);
+    return true;
+  }
   bool Has(VmcsField field) const { return VmcsFieldIndex(field) >= 0; }
 
   // Launch-state tracking (vmclear -> clear; vmlaunch -> launched).
@@ -43,13 +54,18 @@ class Vmcs {
   // Populate fields from a packed bit image; missing tail bits read as 0.
   void FromBitImage(std::span<const uint8_t> image);
 
+  // Bit-at-a-time reference implementations of the two above (see
+  // src/arch/bit_image.h).
+  std::vector<uint8_t> ToBitImageScalar() const;
+  void FromBitImageScalar(std::span<const uint8_t> image);
+
   // Byte size of the full bit image.
-  static size_t BitImageSize() { return (VmcsTotalBits() + 7) / 8; }
+  static constexpr size_t BitImageSize() { return (VmcsTotalBits() + 7) / 8; }
 
   bool operator==(const Vmcs& other) const { return values_ == other.values_; }
 
  private:
-  std::vector<uint64_t> values_;  // Indexed by VmcsFieldIndex.
+  std::array<uint64_t, VmcsFieldCount()> values_{};  // By VmcsFieldIndex.
   LaunchState launch_state_ = LaunchState::kClear;
 };
 

@@ -9,10 +9,13 @@
 #ifndef SRC_ARCH_VMX_FIELDS_H_
 #define SRC_ARCH_VMX_FIELDS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
+
+#include "src/arch/bit_image.h"
 
 namespace neco {
 
@@ -228,28 +231,297 @@ struct VmcsFieldInfo {
   uint8_t bits;
 };
 
-// Full field table, ordered by encoding. The count and the total bit size
+namespace vmx_fields_detail {
+
+// Shorthand for table construction.
+inline constexpr auto kControl = VmcsFieldGroup::kControl;
+inline constexpr auto kGuest = VmcsFieldGroup::kGuestState;
+inline constexpr auto kHost = VmcsFieldGroup::kHostState;
+inline constexpr auto kRo = VmcsFieldGroup::kReadOnlyData;
+inline constexpr auto w16 = VmcsFieldWidth::k16;
+inline constexpr auto w32 = VmcsFieldWidth::k32;
+inline constexpr auto w64 = VmcsFieldWidth::k64;
+inline constexpr auto wNat = VmcsFieldWidth::kNatural;
+
+// The full VMCS layout: 165 fields spanning 8,000 bits, matching the state
+// geometry the paper reports for its Hamming-distance analysis (Section
+// 5.3.2). Natural-width fields are 64 bits on x86-64. The order is the bit
+// image's field order.
+inline constexpr std::array<VmcsFieldInfo, 165> kTable = {{
+    // --- 16-bit control fields ---
+    {VmcsField::kVirtualProcessorId, "virtual_processor_id", kControl, w16, 16},
+    {VmcsField::kPostedIntrNotificationVector, "posted_intr_nv", kControl, w16, 16},
+    {VmcsField::kEptpIndex, "eptp_index", kControl, w16, 16},
+    // --- 16-bit guest-state fields ---
+    {VmcsField::kGuestEsSelector, "guest_es_selector", kGuest, w16, 16},
+    {VmcsField::kGuestCsSelector, "guest_cs_selector", kGuest, w16, 16},
+    {VmcsField::kGuestSsSelector, "guest_ss_selector", kGuest, w16, 16},
+    {VmcsField::kGuestDsSelector, "guest_ds_selector", kGuest, w16, 16},
+    {VmcsField::kGuestFsSelector, "guest_fs_selector", kGuest, w16, 16},
+    {VmcsField::kGuestGsSelector, "guest_gs_selector", kGuest, w16, 16},
+    {VmcsField::kGuestLdtrSelector, "guest_ldtr_selector", kGuest, w16, 16},
+    {VmcsField::kGuestTrSelector, "guest_tr_selector", kGuest, w16, 16},
+    {VmcsField::kGuestIntrStatus, "guest_intr_status", kGuest, w16, 16},
+    {VmcsField::kGuestPmlIndex, "guest_pml_index", kGuest, w16, 16},
+    // --- 16-bit host-state fields ---
+    {VmcsField::kHostEsSelector, "host_es_selector", kHost, w16, 16},
+    {VmcsField::kHostCsSelector, "host_cs_selector", kHost, w16, 16},
+    {VmcsField::kHostSsSelector, "host_ss_selector", kHost, w16, 16},
+    {VmcsField::kHostDsSelector, "host_ds_selector", kHost, w16, 16},
+    {VmcsField::kHostFsSelector, "host_fs_selector", kHost, w16, 16},
+    {VmcsField::kHostGsSelector, "host_gs_selector", kHost, w16, 16},
+    {VmcsField::kHostTrSelector, "host_tr_selector", kHost, w16, 16},
+    // --- 64-bit control fields ---
+    {VmcsField::kIoBitmapA, "io_bitmap_a", kControl, w64, 64},
+    {VmcsField::kIoBitmapB, "io_bitmap_b", kControl, w64, 64},
+    {VmcsField::kMsrBitmap, "msr_bitmap", kControl, w64, 64},
+    {VmcsField::kVmExitMsrStoreAddr, "vm_exit_msr_store_addr", kControl, w64, 64},
+    {VmcsField::kVmExitMsrLoadAddr, "vm_exit_msr_load_addr", kControl, w64, 64},
+    {VmcsField::kVmEntryMsrLoadAddr, "vm_entry_msr_load_addr", kControl, w64, 64},
+    {VmcsField::kExecutiveVmcsPointer, "executive_vmcs_pointer", kControl, w64, 64},
+    {VmcsField::kPmlAddress, "pml_address", kControl, w64, 64},
+    {VmcsField::kTscOffset, "tsc_offset", kControl, w64, 64},
+    {VmcsField::kVirtualApicPageAddr, "virtual_apic_page_addr", kControl, w64, 64},
+    {VmcsField::kApicAccessAddr, "apic_access_addr", kControl, w64, 64},
+    {VmcsField::kPostedIntrDescAddr, "posted_intr_desc_addr", kControl, w64, 64},
+    {VmcsField::kVmFunctionControl, "vm_function_control", kControl, w64, 64},
+    {VmcsField::kEptPointer, "ept_pointer", kControl, w64, 64},
+    {VmcsField::kEoiExitBitmap0, "eoi_exit_bitmap0", kControl, w64, 64},
+    {VmcsField::kEoiExitBitmap1, "eoi_exit_bitmap1", kControl, w64, 64},
+    {VmcsField::kEoiExitBitmap2, "eoi_exit_bitmap2", kControl, w64, 64},
+    {VmcsField::kEoiExitBitmap3, "eoi_exit_bitmap3", kControl, w64, 64},
+    {VmcsField::kEptpListAddress, "eptp_list_address", kControl, w64, 64},
+    {VmcsField::kVmreadBitmap, "vmread_bitmap", kControl, w64, 64},
+    {VmcsField::kVmwriteBitmap, "vmwrite_bitmap", kControl, w64, 64},
+    {VmcsField::kVirtExceptionInfoAddr, "virt_exception_info_addr", kControl, w64, 64},
+    {VmcsField::kXssExitBitmap, "xss_exit_bitmap", kControl, w64, 64},
+    {VmcsField::kEnclsExitingBitmap, "encls_exiting_bitmap", kControl, w64, 64},
+    {VmcsField::kSppTablePointer, "spp_table_pointer", kControl, w64, 64},
+    {VmcsField::kTscMultiplier, "tsc_multiplier", kControl, w64, 64},
+    {VmcsField::kTertiaryVmExecControl, "tertiary_vm_exec_control", kControl, w64, 64},
+    // --- 64-bit read-only data field ---
+    {VmcsField::kGuestPhysicalAddress, "guest_physical_address", kRo, w64, 64},
+    // --- 64-bit guest-state fields ---
+    {VmcsField::kVmcsLinkPointer, "vmcs_link_pointer", kGuest, w64, 64},
+    {VmcsField::kGuestIa32Debugctl, "guest_ia32_debugctl", kGuest, w64, 64},
+    {VmcsField::kGuestIa32Pat, "guest_ia32_pat", kGuest, w64, 64},
+    {VmcsField::kGuestIa32Efer, "guest_ia32_efer", kGuest, w64, 64},
+    {VmcsField::kGuestIa32PerfGlobalCtrl, "guest_ia32_perf_global_ctrl", kGuest, w64, 64},
+    {VmcsField::kGuestPdptr0, "guest_pdptr0", kGuest, w64, 64},
+    {VmcsField::kGuestPdptr1, "guest_pdptr1", kGuest, w64, 64},
+    {VmcsField::kGuestPdptr2, "guest_pdptr2", kGuest, w64, 64},
+    {VmcsField::kGuestPdptr3, "guest_pdptr3", kGuest, w64, 64},
+    {VmcsField::kGuestIa32Bndcfgs, "guest_ia32_bndcfgs", kGuest, w64, 64},
+    {VmcsField::kGuestIa32RtitCtl, "guest_ia32_rtit_ctl", kGuest, w64, 64},
+    {VmcsField::kGuestIa32LbrCtl, "guest_ia32_lbr_ctl", kGuest, w64, 64},
+    // --- 64-bit host-state fields ---
+    {VmcsField::kHostIa32Pat, "host_ia32_pat", kHost, w64, 64},
+    {VmcsField::kHostIa32Efer, "host_ia32_efer", kHost, w64, 64},
+    {VmcsField::kHostIa32PerfGlobalCtrl, "host_ia32_perf_global_ctrl", kHost, w64, 64},
+    // --- 32-bit control fields ---
+    {VmcsField::kPinBasedVmExecControl, "pin_based_vm_exec_control", kControl, w32, 32},
+    {VmcsField::kCpuBasedVmExecControl, "cpu_based_vm_exec_control", kControl, w32, 32},
+    {VmcsField::kExceptionBitmap, "exception_bitmap", kControl, w32, 32},
+    {VmcsField::kPageFaultErrorCodeMask, "page_fault_error_code_mask", kControl, w32, 32},
+    {VmcsField::kPageFaultErrorCodeMatch, "page_fault_error_code_match", kControl, w32, 32},
+    {VmcsField::kCr3TargetCount, "cr3_target_count", kControl, w32, 32},
+    {VmcsField::kVmExitControls, "vm_exit_controls", kControl, w32, 32},
+    {VmcsField::kVmExitMsrStoreCount, "vm_exit_msr_store_count", kControl, w32, 32},
+    {VmcsField::kVmExitMsrLoadCount, "vm_exit_msr_load_count", kControl, w32, 32},
+    {VmcsField::kVmEntryControls, "vm_entry_controls", kControl, w32, 32},
+    {VmcsField::kVmEntryMsrLoadCount, "vm_entry_msr_load_count", kControl, w32, 32},
+    {VmcsField::kVmEntryIntrInfoField, "vm_entry_intr_info", kControl, w32, 32},
+    {VmcsField::kVmEntryExceptionErrorCode, "vm_entry_exception_error_code", kControl, w32, 32},
+    {VmcsField::kVmEntryInstructionLen, "vm_entry_instruction_len", kControl, w32, 32},
+    {VmcsField::kTprThreshold, "tpr_threshold", kControl, w32, 32},
+    {VmcsField::kSecondaryVmExecControl, "secondary_vm_exec_control", kControl, w32, 32},
+    {VmcsField::kPleGap, "ple_gap", kControl, w32, 32},
+    {VmcsField::kPleWindow, "ple_window", kControl, w32, 32},
+    // --- 32-bit read-only data fields ---
+    {VmcsField::kVmInstructionError, "vm_instruction_error", kRo, w32, 32},
+    {VmcsField::kVmExitReason, "vm_exit_reason", kRo, w32, 32},
+    {VmcsField::kVmExitIntrInfo, "vm_exit_intr_info", kRo, w32, 32},
+    {VmcsField::kVmExitIntrErrorCode, "vm_exit_intr_error_code", kRo, w32, 32},
+    {VmcsField::kIdtVectoringInfoField, "idt_vectoring_info", kRo, w32, 32},
+    {VmcsField::kIdtVectoringErrorCode, "idt_vectoring_error_code", kRo, w32, 32},
+    {VmcsField::kVmExitInstructionLen, "vm_exit_instruction_len", kRo, w32, 32},
+    {VmcsField::kVmxInstructionInfo, "vmx_instruction_info", kRo, w32, 32},
+    // --- 32-bit guest-state fields ---
+    {VmcsField::kGuestEsLimit, "guest_es_limit", kGuest, w32, 32},
+    {VmcsField::kGuestCsLimit, "guest_cs_limit", kGuest, w32, 32},
+    {VmcsField::kGuestSsLimit, "guest_ss_limit", kGuest, w32, 32},
+    {VmcsField::kGuestDsLimit, "guest_ds_limit", kGuest, w32, 32},
+    {VmcsField::kGuestFsLimit, "guest_fs_limit", kGuest, w32, 32},
+    {VmcsField::kGuestGsLimit, "guest_gs_limit", kGuest, w32, 32},
+    {VmcsField::kGuestLdtrLimit, "guest_ldtr_limit", kGuest, w32, 32},
+    {VmcsField::kGuestTrLimit, "guest_tr_limit", kGuest, w32, 32},
+    {VmcsField::kGuestGdtrLimit, "guest_gdtr_limit", kGuest, w32, 32},
+    {VmcsField::kGuestIdtrLimit, "guest_idtr_limit", kGuest, w32, 32},
+    {VmcsField::kGuestEsArBytes, "guest_es_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestCsArBytes, "guest_cs_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestSsArBytes, "guest_ss_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestDsArBytes, "guest_ds_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestFsArBytes, "guest_fs_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestGsArBytes, "guest_gs_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestLdtrArBytes, "guest_ldtr_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestTrArBytes, "guest_tr_ar_bytes", kGuest, w32, 32},
+    {VmcsField::kGuestInterruptibilityInfo, "guest_interruptibility_info", kGuest, w32, 32},
+    {VmcsField::kGuestActivityState, "guest_activity_state", kGuest, w32, 32},
+    {VmcsField::kGuestSmbase, "guest_smbase", kGuest, w32, 32},
+    {VmcsField::kGuestSysenterCs, "guest_sysenter_cs", kGuest, w32, 32},
+    {VmcsField::kVmxPreemptionTimerValue, "vmx_preemption_timer_value", kGuest, w32, 32},
+    // --- 32-bit host-state field ---
+    {VmcsField::kHostIa32SysenterCs, "host_ia32_sysenter_cs", kHost, w32, 32},
+    // --- Natural-width control fields ---
+    {VmcsField::kCr0GuestHostMask, "cr0_guest_host_mask", kControl, wNat, 64},
+    {VmcsField::kCr4GuestHostMask, "cr4_guest_host_mask", kControl, wNat, 64},
+    {VmcsField::kCr0ReadShadow, "cr0_read_shadow", kControl, wNat, 64},
+    {VmcsField::kCr4ReadShadow, "cr4_read_shadow", kControl, wNat, 64},
+    {VmcsField::kCr3TargetValue0, "cr3_target_value0", kControl, wNat, 64},
+    {VmcsField::kCr3TargetValue1, "cr3_target_value1", kControl, wNat, 64},
+    {VmcsField::kCr3TargetValue2, "cr3_target_value2", kControl, wNat, 64},
+    {VmcsField::kCr3TargetValue3, "cr3_target_value3", kControl, wNat, 64},
+    // --- Natural-width read-only data fields ---
+    {VmcsField::kExitQualification, "exit_qualification", kRo, wNat, 64},
+    {VmcsField::kIoRcx, "io_rcx", kRo, wNat, 64},
+    {VmcsField::kIoRsi, "io_rsi", kRo, wNat, 64},
+    {VmcsField::kIoRdi, "io_rdi", kRo, wNat, 64},
+    {VmcsField::kIoRip, "io_rip", kRo, wNat, 64},
+    {VmcsField::kGuestLinearAddress, "guest_linear_address", kRo, wNat, 64},
+    // --- Natural-width guest-state fields ---
+    {VmcsField::kGuestCr0, "guest_cr0", kGuest, wNat, 64},
+    {VmcsField::kGuestCr3, "guest_cr3", kGuest, wNat, 64},
+    {VmcsField::kGuestCr4, "guest_cr4", kGuest, wNat, 64},
+    {VmcsField::kGuestEsBase, "guest_es_base", kGuest, wNat, 64},
+    {VmcsField::kGuestCsBase, "guest_cs_base", kGuest, wNat, 64},
+    {VmcsField::kGuestSsBase, "guest_ss_base", kGuest, wNat, 64},
+    {VmcsField::kGuestDsBase, "guest_ds_base", kGuest, wNat, 64},
+    {VmcsField::kGuestFsBase, "guest_fs_base", kGuest, wNat, 64},
+    {VmcsField::kGuestGsBase, "guest_gs_base", kGuest, wNat, 64},
+    {VmcsField::kGuestLdtrBase, "guest_ldtr_base", kGuest, wNat, 64},
+    {VmcsField::kGuestTrBase, "guest_tr_base", kGuest, wNat, 64},
+    {VmcsField::kGuestGdtrBase, "guest_gdtr_base", kGuest, wNat, 64},
+    {VmcsField::kGuestIdtrBase, "guest_idtr_base", kGuest, wNat, 64},
+    {VmcsField::kGuestDr7, "guest_dr7", kGuest, wNat, 64},
+    {VmcsField::kGuestRsp, "guest_rsp", kGuest, wNat, 64},
+    {VmcsField::kGuestRip, "guest_rip", kGuest, wNat, 64},
+    {VmcsField::kGuestRflags, "guest_rflags", kGuest, wNat, 64},
+    {VmcsField::kGuestPendingDbgExceptions, "guest_pending_dbg_exceptions", kGuest, wNat, 64},
+    {VmcsField::kGuestSysenterEsp, "guest_sysenter_esp", kGuest, wNat, 64},
+    {VmcsField::kGuestSysenterEip, "guest_sysenter_eip", kGuest, wNat, 64},
+    {VmcsField::kGuestSCet, "guest_s_cet", kGuest, wNat, 64},
+    {VmcsField::kGuestSsp, "guest_ssp", kGuest, wNat, 64},
+    {VmcsField::kGuestIntrSspTable, "guest_intr_ssp_table", kGuest, wNat, 64},
+    // --- Natural-width host-state fields ---
+    {VmcsField::kHostCr0, "host_cr0", kHost, wNat, 64},
+    {VmcsField::kHostCr3, "host_cr3", kHost, wNat, 64},
+    {VmcsField::kHostCr4, "host_cr4", kHost, wNat, 64},
+    {VmcsField::kHostFsBase, "host_fs_base", kHost, wNat, 64},
+    {VmcsField::kHostGsBase, "host_gs_base", kHost, wNat, 64},
+    {VmcsField::kHostTrBase, "host_tr_base", kHost, wNat, 64},
+    {VmcsField::kHostGdtrBase, "host_gdtr_base", kHost, wNat, 64},
+    {VmcsField::kHostIdtrBase, "host_idtr_base", kHost, wNat, 64},
+    {VmcsField::kHostIa32SysenterEsp, "host_ia32_sysenter_esp", kHost, wNat, 64},
+    {VmcsField::kHostIa32SysenterEip, "host_ia32_sysenter_eip", kHost, wNat, 64},
+    {VmcsField::kHostSCet, "host_s_cet", kHost, wNat, 64},
+    {VmcsField::kHostSsp, "host_ssp", kHost, wNat, 64},
+    {VmcsField::kHostIntrSspTable, "host_intr_ssp_table", kHost, wNat, 64},
+    {VmcsField::kHostRsp, "host_rsp", kHost, wNat, 64},
+    {VmcsField::kHostRip, "host_rip", kHost, wNat, 64},
+}};
+
+// O(1) lookup: an encoding's slot is its bits 14:10 (width class, bit 12,
+// type) above its bits 6:1 (index). Every table encoding has index < 64 and
+// zero bits 9:7, so the slot is unique per field (asserted below); the
+// exact-match compare in VmcsFieldIndex rejects every other encoding that
+// lands on an occupied slot.
+inline constexpr size_t kSlotCount = size_t{1} << 11;
+
+constexpr size_t SlotOf(uint32_t encoding) {
+  return ((encoding >> 10) & 0x1f) << 6 | ((encoding >> 1) & 0x3f);
+}
+
+constexpr std::array<int16_t, kSlotCount> BuildSlots() {
+  std::array<int16_t, kSlotCount> slots{};
+  slots.fill(-1);
+  for (size_t i = 0; i < kTable.size(); ++i) {
+    slots[SlotOf(static_cast<uint32_t>(kTable[i].field))] =
+        static_cast<int16_t>(i);
+  }
+  return slots;
+}
+
+inline constexpr std::array<int16_t, kSlotCount> kSlots = BuildSlots();
+
+constexpr bool SlotsAreUnique() {
+  for (size_t i = 0; i < kTable.size(); ++i) {
+    if (kSlots[SlotOf(static_cast<uint32_t>(kTable[i].field))] !=
+        static_cast<int16_t>(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+inline constexpr size_t kTotalBits = BitImageBits(kTable);
+
+static_assert(SlotsAreUnique(), "two VMCS fields share an index slot");
+static_assert(kTotalBits == 8000, "the paper's VMCS layout spans 8000 bits");
+static_assert(FieldsAreWholeBytes(kTable),
+              "the bit-image codec needs whole-byte VMCS field widths");
+
+}  // namespace vmx_fields_detail
+
+// Full field table in bit-image order. The count and the total bit size
 // are exposed so the Figure 5 bench can report the state-space geometry.
-std::span<const VmcsFieldInfo> VmcsFieldTable();
+constexpr std::span<const VmcsFieldInfo> VmcsFieldTable() {
+  return vmx_fields_detail::kTable;
+}
 
 // Number of fields in the table (the paper's layout has 165).
-size_t VmcsFieldCount();
+constexpr size_t VmcsFieldCount() { return vmx_fields_detail::kTable.size(); }
 
 // Sum of semantic widths in bits (the paper's layout spans 8,000 bits).
-size_t VmcsTotalBits();
+constexpr size_t VmcsTotalBits() { return vmx_fields_detail::kTotalBits; }
+
+// Dense index of a field within the table, or -1. Constant time; folds at
+// compile time for a literal field.
+constexpr int VmcsFieldIndex(VmcsField field) {
+  using vmx_fields_detail::kSlots;
+  using vmx_fields_detail::kTable;
+  using vmx_fields_detail::SlotOf;
+  const int idx = kSlots[SlotOf(static_cast<uint32_t>(field))];
+  return idx >= 0 && kTable[static_cast<size_t>(idx)].field == field ? idx
+                                                                     : -1;
+}
+
+// Linear-scan reference implementation of VmcsFieldIndex; the equivalence
+// tests pin the slot table against it over every 16-bit encoding.
+int VmcsFieldIndexScalar(VmcsField field);
 
 // Lookup; returns nullptr for an encoding outside the table.
-const VmcsFieldInfo* FindVmcsField(VmcsField field);
-const VmcsFieldInfo* FindVmcsField(uint32_t encoding);
+constexpr const VmcsFieldInfo* FindVmcsField(VmcsField field) {
+  const int idx = VmcsFieldIndex(field);
+  return idx >= 0 ? &vmx_fields_detail::kTable[static_cast<size_t>(idx)]
+                  : nullptr;
+}
 
-// Dense index of a field within the table, or -1.
-int VmcsFieldIndex(VmcsField field);
+constexpr const VmcsFieldInfo* FindVmcsField(uint32_t encoding) {
+  return FindVmcsField(static_cast<VmcsField>(encoding));
+}
 
 // Derive the width class from the raw encoding (SDM bits 14:13).
-VmcsFieldWidth WidthClassOfEncoding(uint32_t encoding);
+constexpr VmcsFieldWidth WidthClassOfEncoding(uint32_t encoding) {
+  return static_cast<VmcsFieldWidth>((encoding >> 13) & 0x3);
+}
 
 // True if the encoding denotes a read-only (VM-exit information) field.
-bool IsReadOnlyField(VmcsField field);
+constexpr bool IsReadOnlyField(VmcsField field) {
+  using vmx_fields_detail::kTable;
+  const int idx = VmcsFieldIndex(field);
+  return idx >= 0 && kTable[static_cast<size_t>(idx)].group ==
+                         VmcsFieldGroup::kReadOnlyData;
+}
 
 std::string_view VmcsFieldName(VmcsField field);
 

@@ -29,7 +29,9 @@ class ByteReader {
       return 0;
     }
     const uint8_t b = data_[pos_];
-    pos_ = (pos_ + 1) % data_.size();
+    if (++pos_ == data_.size()) {
+      pos_ = 0;
+    }
     ++consumed_;
     return b;
   }

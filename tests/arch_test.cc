@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/arch/cpu_features.h"
 #include "src/arch/vmcb.h"
@@ -55,6 +56,52 @@ TEST(VmcsFieldsTest, ReadOnlyClassification) {
   EXPECT_FALSE(IsReadOnlyField(VmcsField::kGuestCr0));
   EXPECT_FALSE(IsReadOnlyField(VmcsField::kPinBasedVmExecControl));
 }
+
+// The slot-table index must agree with the linear scan on every 16-bit
+// encoding: table fields map to their position, everything else to -1.
+TEST(VmcsFieldsTest, SlotIndexMatchesScalarOnEveryEncoding) {
+  const auto table = VmcsFieldTable();
+  size_t found = 0;
+  for (uint32_t enc = 0; enc <= 0xffff; ++enc) {
+    const VmcsField field = static_cast<VmcsField>(enc);
+    const int want = VmcsFieldIndexScalar(field);
+    ASSERT_EQ(VmcsFieldIndex(field), want) << std::hex << enc;
+    const VmcsFieldInfo* want_info =
+        want >= 0 ? &table[static_cast<size_t>(want)] : nullptr;
+    ASSERT_EQ(FindVmcsField(enc), want_info) << std::hex << enc;
+    ASSERT_EQ(IsReadOnlyField(field),
+              want_info != nullptr &&
+                  want_info->group == VmcsFieldGroup::kReadOnlyData)
+        << std::hex << enc;
+    found += want >= 0 ? 1 : 0;
+  }
+  EXPECT_EQ(found, VmcsFieldCount());
+}
+
+// Random 32-bit values, half of them a table encoding with random upper
+// bits, which shares its slot with a real field: the exact-match check
+// must reject them.
+TEST(VmcsFieldsTest, SlotIndexMatchesScalarOnRandomWords) {
+  const auto table = VmcsFieldTable();
+  Rng rng(0x5107);
+  for (int i = 0; i < 200000; ++i) {
+    uint32_t enc = static_cast<uint32_t>(rng.Next());
+    if ((i & 1) != 0) {
+      enc = static_cast<uint32_t>(table[rng.Below(table.size())].field) |
+            (enc & 0xffff0000u);
+    }
+    const VmcsField field = static_cast<VmcsField>(enc);
+    ASSERT_EQ(VmcsFieldIndex(field), VmcsFieldIndexScalar(field))
+        << std::hex << enc;
+  }
+}
+
+// Literal lookups and the layout geometry are compile-time constants.
+static_assert(VmcsFieldIndex(VmcsField::kVirtualProcessorId) == 0);
+static_assert(VmcsFieldIndex(static_cast<VmcsField>(0x9999)) == -1);
+static_assert(IsReadOnlyField(VmcsField::kVmExitReason));
+static_assert(Vmcs::BitImageSize() == 1000);
+static_assert(Vmcb::BitImageSize() * 8 == VmcbTotalBits());
 
 TEST(VmcsFieldsTest, GroupCountsArePlausible) {
   size_t control = 0, guest = 0, host = 0, ro = 0;
@@ -147,6 +194,59 @@ TEST(VmcbTest, BitImageRoundTrip) {
     Vmcb back;
     back.FromBitImage(v.ToBitImage());
     EXPECT_TRUE(v == back);
+  }
+}
+
+// --- Byte-wise bit-image codec vs the bit-at-a-time reference ---------
+
+template <typename State>
+class BitImageCodecTest : public ::testing::Test {};
+
+using StateTypes = ::testing::Types<Vmcs, Vmcb>;
+TYPED_TEST_SUITE(BitImageCodecTest, StateTypes);
+
+std::vector<uint8_t> RandomImage(Rng& rng, size_t size) {
+  std::vector<uint8_t> image(size);
+  for (auto& b : image) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return image;
+}
+
+// Full, short (the tail reads 0), empty and over-long images decode the
+// same through both codecs, and re-encode the same.
+TYPED_TEST(BitImageCodecTest, DecodeMatchesScalar) {
+  using State = TypeParam;
+  const size_t full = State::BitImageSize();
+  Rng rng(0xb17 + full);
+  for (int trial = 0; trial < 300; ++trial) {
+    size_t size = full;
+    switch (trial % 4) {
+      case 1: size = rng.Below(full); break;
+      case 2: size = 0; break;
+      case 3: size = full + 1 + rng.Below(64); break;
+      default: break;
+    }
+    const std::vector<uint8_t> image = RandomImage(rng, size);
+    State fast;
+    State scalar;
+    fast.FromBitImage(image);
+    scalar.FromBitImageScalar(image);
+    ASSERT_TRUE(fast == scalar) << "trial " << trial << " size " << size;
+    ASSERT_EQ(fast.ToBitImage(), scalar.ToBitImageScalar())
+        << "trial " << trial;
+  }
+}
+
+// To(From(x)) == x for every full-size image.
+TYPED_TEST(BitImageCodecTest, FullImageRoundTrips) {
+  using State = TypeParam;
+  Rng rng(0x70f0 + State::BitImageSize());
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::vector<uint8_t> image = RandomImage(rng, State::BitImageSize());
+    State state;
+    state.FromBitImage(image);
+    ASSERT_EQ(state.ToBitImage(), image) << "trial " << trial;
   }
 }
 

@@ -2,7 +2,10 @@
 // and the statistics helpers used by the benches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/support/bits.h"
 #include "src/support/byte_reader.h"
@@ -149,6 +152,76 @@ TEST(ByteReaderTest, SliceIsIndependent) {
   EXPECT_EQ(slice.U8(), 6);
   EXPECT_EQ(slice.U8(), 5);  // Wraps within the slice.
   EXPECT_EQ(reader.U8(), 1);  // Parent cursor untouched.
+}
+
+// Reference model of the wrap rule: byte i of a reader's stream is
+// data[i % size].
+class ModuloStream {
+ public:
+  explicit ModuloStream(std::span<const uint8_t> data) : data_(data) {}
+  size_t consumed() const { return consumed_; }
+  uint64_t Le(int bytes) {
+    uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<uint64_t>(data_[consumed_++ % data_.size()])
+           << (8 * i);
+    }
+    return v;
+  }
+
+ private:
+  std::span<const uint8_t> data_;
+  size_t consumed_ = 0;
+};
+
+TEST(ByteReaderTest, MatchesModuloReferenceOnEverySize) {
+  Rng rng(0xbead);
+  for (size_t size = 1; size <= 64; ++size) {
+    std::vector<uint8_t> data(size);
+    for (auto& b : data) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    ByteReader reader(data);
+    ModuloStream ref(data);
+    for (int op = 0; op < 400; ++op) {
+      switch (rng.Below(7)) {
+        case 0: ASSERT_EQ(reader.U8(), ref.Le(1)); break;
+        case 1: ASSERT_EQ(reader.U16(), ref.Le(2)); break;
+        case 2: ASSERT_EQ(reader.U32(), ref.Le(4)); break;
+        case 3: ASSERT_EQ(reader.U64(), ref.Le(8)); break;
+        case 4: {
+          const uint64_t bound = rng.Below(3) == 0 ? 0 : 1 + rng.Below(1000);
+          const uint64_t want = bound == 0 ? 0 : ref.Le(4) % bound;
+          ASSERT_EQ(reader.Below(bound), want) << "bound " << bound;
+          break;
+        }
+        case 5: {
+          const uint32_t den = static_cast<uint32_t>(rng.Below(9));
+          const uint32_t num = static_cast<uint32_t>(rng.Below(10));
+          const bool want = den != 0 && ref.Le(2) % den < num;
+          ASSERT_EQ(reader.Chance(num, den), want) << num << "/" << den;
+          break;
+        }
+        default: {
+          // A slice restarts at its own offset, whatever the parent has
+          // consumed, and wraps within its own length.
+          const size_t offset = rng.Below(size + 2);
+          const size_t length = rng.Below(size + 2);
+          ByteReader slice = reader.Slice(offset, length);
+          const size_t span =
+              offset < size ? std::min(length, size - offset) : 0;
+          ASSERT_EQ(slice.size(), span);
+          for (size_t i = 0; i < 2 * span + 3; ++i) {
+            ASSERT_EQ(slice.U8(), span == 0 ? 0 : data[offset + i % span])
+                << "offset " << offset << " length " << length;
+          }
+          ASSERT_EQ(slice.consumed(), span == 0 ? 0 : 2 * span + 3);
+          break;
+        }
+      }
+      ASSERT_EQ(reader.consumed(), ref.consumed()) << "size " << size;
+    }
+  }
 }
 
 TEST(StatsTest, RunningStats) {
