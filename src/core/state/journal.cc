@@ -290,20 +290,16 @@ std::vector<wire::Buffer> CampaignJournal::LoadEpoch(size_t epoch) const {
   if (!ReadFileBytes(path, &bytes)) {
     throw std::runtime_error("CampaignJournal: cannot read " + path.string());
   }
+  std::vector<wire::FrameSpan> spans;
+  if (!wire::CutFrames(bytes.data(), bytes.size(), &spans)) {
+    throw std::runtime_error("CampaignJournal: torn epoch file " +
+                             path.string());
+  }
   std::vector<wire::Buffer> frames;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    size_t frame_size = 0;
-    if (!wire::FrameSize(bytes.data() + pos, bytes.size() - pos,
-                         &frame_size) ||
-        frame_size > bytes.size() - pos) {
-      throw std::runtime_error("CampaignJournal: torn epoch file " +
-                               path.string());
-    }
-    frames.emplace_back(bytes.begin() + static_cast<ptrdiff_t>(pos),
-                        bytes.begin() + static_cast<ptrdiff_t>(pos) +
-                            static_cast<ptrdiff_t>(frame_size));
-    pos += frame_size;
+  frames.reserve(spans.size());
+  for (const wire::FrameSpan& span : spans) {
+    const uint8_t* frame = bytes.data() + span.offset;
+    frames.emplace_back(frame, frame + span.size);
   }
   EpochCommitRecord trailer;
   if (frames.empty() ||
@@ -395,29 +391,21 @@ void CampaignJournal::VerifyEpoch(size_t epoch,
   }
   // The tail must be frames too: zero or more excess committed deltas
   // (a worker-count mismatch) and then exactly the commit record.
-  size_t committed = frames.size();
-  size_t pos = 0;
-  size_t trailer_pos = 0;
-  while (pos < tail.size()) {
-    size_t frame_size = 0;
-    if (!wire::FrameSize(tail.data() + pos, tail.size() - pos, &frame_size) ||
-        frame_size > tail.size() - pos) {
-      throw std::runtime_error("CampaignJournal: torn epoch file " +
-                               path.string());
-    }
-    trailer_pos = pos;
-    pos += frame_size;
-    ++committed;
+  std::vector<wire::FrameSpan> spans;
+  if (!wire::CutFrames(tail.data(), tail.size(), &spans)) {
+    throw std::runtime_error("CampaignJournal: torn epoch file " +
+                             path.string());
   }
   EpochCommitRecord summary;
-  if (committed == frames.size() ||
-      !wire::Decode(tail.data() + trailer_pos, tail.size() - trailer_pos,
+  if (spans.empty() ||
+      !wire::Decode(tail.data() + spans.back().offset, spans.back().size,
                     &summary)) {
     throw std::runtime_error(
         "CampaignJournal: epoch file missing its commit record: " +
         path.string());
   }
-  --committed;  // The trailer is not a delta.
+  // The last tail frame is the trailer, not a delta.
+  const size_t committed = frames.size() + spans.size() - 1;
   if (committed != frames.size()) {
     throw std::runtime_error(
         "CampaignJournal: epoch " + std::to_string(epoch) + " replayed " +

@@ -55,29 +55,15 @@ bool DecodeSnapshotFile(const uint8_t* data, size_t size,
   // Pass 1: cut frames (offset + length only, no decode yet) and find the
   // trailer. Any tear — a frame header that does not fit, a length that
   // overruns the file, trailing garbage — rejects the whole file.
-  struct Cut {
-    size_t pos = 0;
-    size_t size = 0;
-  };
-  std::vector<Cut> cuts;
-  size_t pos = 0;
-  while (pos < size) {
-    size_t frame_size = 0;
-    if (!wire::FrameSize(data + pos, size - pos, &frame_size) ||
-        frame_size > size - pos) {
-      return false;
-    }
-    cuts.push_back({pos, frame_size});
-    pos += frame_size;
-  }
-  if (cuts.size() < 2) {
+  std::vector<wire::FrameSpan> cuts;
+  if (!wire::CutFrames(data, size, &cuts) || cuts.size() < 2) {
     return false;  // At least the merged record and the trailer.
   }
 
-  const Cut trailer_cut = cuts.back();
+  const wire::FrameSpan trailer_cut = cuts.back();
   cuts.pop_back();
   CampaignSnapshotRecord trailer;
-  if (!wire::Decode(data + trailer_cut.pos, trailer_cut.size, &trailer)) {
+  if (!wire::Decode(data + trailer_cut.offset, trailer_cut.size, &trailer)) {
     return false;
   }
   // The trailer must account for exactly the frames present (one merged
@@ -89,8 +75,8 @@ bool DecodeSnapshotFile(const uint8_t* data, size_t size,
     return false;
   }
   uint64_t checksum = kFnvOffset;
-  for (const Cut& cut : cuts) {
-    checksum = Fnv1a(checksum, data + cut.pos, cut.size);
+  for (const wire::FrameSpan& cut : cuts) {
+    checksum = Fnv1a(checksum, data + cut.offset, cut.size);
   }
   if (checksum != trailer.checksum) {
     return false;
@@ -98,14 +84,14 @@ bool DecodeSnapshotFile(const uint8_t* data, size_t size,
 
   CampaignSnapshot snapshot;
   snapshot.epochs_covered = trailer.epochs_covered;
-  if (!wire::Decode(data + cuts[0].pos, cuts[0].size, &snapshot.merged) ||
+  if (!wire::Decode(data + cuts[0].offset, cuts[0].size, &snapshot.merged) ||
       snapshot.merged.epochs_covered != trailer.epochs_covered) {
     return false;
   }
   snapshot.workers.resize(static_cast<size_t>(trailer.workers));
   for (size_t w = 0; w < snapshot.workers.size(); ++w) {
     WorkerStateRecord& worker = snapshot.workers[w];
-    if (!wire::Decode(data + cuts[w + 1].pos, cuts[w + 1].size, &worker) ||
+    if (!wire::Decode(data + cuts[w + 1].offset, cuts[w + 1].size, &worker) ||
         worker.worker != static_cast<int>(w) ||
         worker.epochs_covered != trailer.epochs_covered) {
       return false;

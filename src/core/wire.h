@@ -38,6 +38,14 @@
 // reading out of bounds. This is the exact payload a process-level shard
 // ships over a pipe, so robustness against corrupt input is part of the
 // contract and is fuzz-tested in tests/wire_test.cc.
+//
+// Adding a field or a record: each record's layout lives in exactly one
+// place, its Fields() walk in wire.cc, which drives sizing, encoding and
+// decoding. Add the field to that walk (a new record gets a new walk, a
+// RecordType, and an Encode/Decode pair here). A rule that spans fields —
+// a magic, parallel-array lengths, an enum or epoch bound — goes in the
+// record's Valid() guard, which runs after the walk. Then bump kVersion
+// and regenerate the affected golden frame in tests/wire_test.cc.
 #ifndef SRC_CORE_WIRE_H_
 #define SRC_CORE_WIRE_H_
 
@@ -516,6 +524,19 @@ bool PeekType(const uint8_t* data, size_t size, RecordType* out);
 // kFrameHeaderSize bytes are available, or when the header is invalid
 // (unknown type byte, payload length above kMaxFramePayload).
 bool FrameSize(const uint8_t* data, size_t size, size_t* out);
+
+// Where one frame sits inside a larger buffer.
+struct FrameSpan {
+  size_t offset = 0;
+  size_t size = 0;  // Header + payload.
+};
+
+// Cuts a buffer of back-to-back frames (an epoch journal file, a snapshot
+// file) into whole frames, in order, without decoding them. Returns false
+// when the buffer does not end exactly on a frame boundary: an invalid
+// header, a header cut short, or a length that runs past the end. `*out`
+// is unspecified when false is returned.
+bool CutFrames(const uint8_t* data, size_t size, std::vector<FrameSpan>* out);
 
 }  // namespace wire
 }  // namespace neco

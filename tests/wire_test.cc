@@ -5,12 +5,16 @@
 // (CampaignManifestRecord, EpochCommitRecord, CrashArtifactRecord —
 // doubly load-bearing, since they are also CampaignJournal's on-disk
 // format); strict rejection of truncated and corrupt buffers; stream
-// framing (FrameSize); and a deterministic fuzz pass over random buffers
-// and random single-byte corruptions.
+// framing (FrameSize, CutFrames); a deterministic fuzz pass over random
+// buffers and random single-byte corruptions; and one golden v6 frame per
+// record type that the codec must reproduce byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/wire.h"
@@ -835,6 +839,33 @@ TEST(WireTest, FrameSizeCutsStreamsCorrectly) {
   EXPECT_FALSE(wire::FrameSize(bad.data(), bad.size(), &size));
 }
 
+TEST(WireTest, CutFramesRejectsTornBuffers) {
+  // The shared cutter behind epoch journal and snapshot files: whole
+  // frames in order, and any buffer that does not end on a frame
+  // boundary is torn.
+  const wire::Buffer a = wire::Encode(MakeDelta());
+  const wire::Buffer b = wire::Encode(MakeFeedback());
+  wire::Buffer file = a;
+  file.insert(file.end(), b.begin(), b.end());
+
+  std::vector<wire::FrameSpan> spans;
+  ASSERT_TRUE(wire::CutFrames(file.data(), file.size(), &spans));
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].offset, 0u);
+  EXPECT_EQ(spans[0].size, a.size());
+  EXPECT_EQ(spans[1].offset, a.size());
+  EXPECT_EQ(spans[1].size, b.size());
+  ASSERT_TRUE(wire::CutFrames(file.data(), 0, &spans));
+  EXPECT_TRUE(spans.empty());
+
+  // A length that overruns the end, a header cut short, a bad type byte.
+  EXPECT_FALSE(wire::CutFrames(file.data(), file.size() - 1, &spans));
+  EXPECT_FALSE(wire::CutFrames(file.data(), a.size() + 3, &spans));
+  wire::Buffer garbage = file;
+  garbage[a.size()] = 0x7F;
+  EXPECT_FALSE(wire::CutFrames(garbage.data(), garbage.size(), &spans));
+}
+
 // --- Materialized snapshot records (wire v6) -----------------------------
 
 WorkerStateRecord MakeWorkerState() {
@@ -1159,6 +1190,474 @@ TEST(WireTest, RandomDeltasRoundTripExactly) {
     ASSERT_TRUE(wire::Decode(wire::Encode(delta), &decoded));
     ExpectEq(delta, decoded);
   }
+}
+
+// --- Golden v6 frames ----------------------------------------------------
+//
+// One frame per RecordType (plus the zero-copy ShardDelta overload), taken
+// from the hand-written v6 codec before the field walks replaced it. Every
+// field holds a non-default value and every vector is non-empty, so a
+// reordered, dropped or resized field changes the bytes. A deliberate
+// format change bumps wire::kVersion and regenerates the affected frame.
+
+FuzzInput GoldenInput(uint8_t fill) { return {0xA5, fill, 0x5A}; }
+
+ShardDelta MakeGoldenDelta() {
+  ShardDelta record;
+  record.worker = 3;
+  record.epoch = 0x0102030405060708ULL;
+  record.iterations = 125;
+  record.imported = 4;
+  record.virgin.Append(513, 0x83);
+  record.virgin.Append(65535, 0xFF);
+  record.covered_points = {94, 117};
+  record.queue_entries = {GoldenInput(0x10), GoldenInput(0x11)};
+  record.findings = {{AnomalyKind::kKasan, "kvm-a", "KASAN a"},
+                     {AnomalyKind::kLogWarning, "kvm-b", "warn b"}};
+  record.crash_ids = {"kvm-a"};
+  record.crash_inputs = {GoldenInput(0x61)};
+  return record;
+}
+
+SampleEvent MakeGoldenSample() { return {4, 12000, 79.66101694915254, 94}; }
+
+FindingEvent MakeGoldenFinding() {
+  return {3, 1, {AnomalyKind::kAssertion, "xen-shadow", "BUG at shadow"}};
+}
+
+CorpusSyncEvent MakeGoldenCorpusSync() { return {9, 2, 23, 58}; }
+
+ShardDoneEvent MakeGoldenShardDone() {
+  return {3, 5000, 81.25, 96, 83, 4, 59, 2};
+}
+
+FinishEvent MakeGoldenFinish() {
+  return {4, 24, 20000, 80.5, 95, 118, 6, 166};
+}
+
+FeedbackRecord MakeGoldenFeedback() {
+  FeedbackRecord record;
+  record.epoch = 11;
+  record.worker = 3;
+  record.pool_entries = {GoldenInput(0x20), GoldenInput(0x21)};
+  record.virgin.Append(12, 0x01);
+  record.virgin.Append(40000, 0xC0);
+  return record;
+}
+
+ShardResultRecord MakeGoldenResult() {
+  ShardResultRecord record;
+  record.worker = 1;
+  record.final_percent = 80.50847457627118;
+  record.covered_points = 95;
+  record.total_points = 118;
+  record.covered_set = {3, 94};
+  record.findings = {{AnomalyKind::kGpFault, "kvm-gp", "general protection"}};
+  record.iterations = 5000;
+  record.queue_size = 83;
+  record.unique_anomalies = 2;
+  record.bitmap_edges = 451;
+  record.watchdog_restarts = 7;
+  record.imports = 59;
+  record.snapshot_hits = 4800;
+  record.snapshot_misses = 200;
+  record.config_memo_hits = 4810;
+  record.restore_ns = 123456789;
+  record.crash_ids = {"kvm-gp", "kvm-ud"};
+  record.crash_inputs = {GoldenInput(0x62), GoldenInput(0x63)};
+  return record;
+}
+
+ShardChildConfigRecord MakeGoldenConfig() {
+  ShardChildConfigRecord record;
+  record.target = "kvm";
+  record.worker = 2;
+  record.workers = 4;
+  record.epochs = 24;
+  record.arch = 1;
+  record.iterations = 20000;
+  record.samples = 12;
+  record.seed = 7;
+  record.syncing = 1;
+  record.coverage_guidance = 1;
+  record.havoc_stack = 32;
+  record.splice_percent = 25;
+  record.use_harness = 0;
+  record.use_validator = 0;
+  record.use_configurator = 0;
+  record.oracle_interval = 128;
+  record.snapshot_cache_size = 16;
+  record.crash_dir = "out/crashes";
+  record.start_epoch = 10;
+  record.snapshot_every = 5;
+  return record;
+}
+
+ShardHelloRecord MakeGoldenHello() {
+  ShardHelloRecord record;  // The magic is the one legal value.
+  record.worker = 5;
+  return record;
+}
+
+CampaignManifestRecord MakeGoldenManifest() {
+  CampaignManifestRecord record;  // The magic is the one legal value.
+  record.committed_epochs = 9;
+  record.snapshot_epochs = 8;
+  record.crash_artifacts = 2;
+  record.epochs = 24;
+  record.workers = 4;
+  record.samples = 12;
+  record.arch = 1;
+  record.iterations = 20000;
+  record.seed = 7;
+  record.corpus_sync = 1;
+  record.coverage_guidance = 1;
+  record.havoc_stack = 32;
+  record.splice_percent = 25;
+  record.use_harness = 0;
+  record.use_validator = 0;
+  record.use_configurator = 0;
+  record.oracle_interval = 128;
+  record.target = "xen";
+  return record;
+}
+
+EpochCommitRecord MakeGoldenEpochCommit() {
+  EpochCommitRecord record;
+  record.epoch = 5;
+  record.workers = 4;
+  record.checksum = 0xDEADBEEFCAFEF00DULL;
+  record.iterations = 5000;
+  record.covered_points = 95;
+  record.pool_end = 83;
+  record.findings = 2;
+  record.crash_artifacts = 3;
+  record.percent = 80.50847457627118;
+  return record;
+}
+
+CrashArtifactRecord MakeGoldenCrashArtifact() {
+  CrashArtifactRecord record;
+  record.seq = 3;
+  record.report = {AnomalyKind::kHostCrash, "vbox-hang", "host hang"};
+  record.hypervisor = "virtualbox";
+  record.arch = "amd";
+  record.iteration = 412;
+  record.input = GoldenInput(0x5C);
+  return record;
+}
+
+WorkerStateRecord MakeGoldenWorkerState() {
+  WorkerStateRecord record;
+  record.worker = 2;
+  record.epochs_covered = 10;
+  record.mutator_rng.s[0] = 0x1111111111111111ULL;
+  record.mutator_rng.s[1] = 0x1212121212121212ULL;
+  record.mutator_rng.s[2] = 0x1313131313131313ULL;
+  record.mutator_rng.s[3] = 0x1414141414141414ULL;
+  record.corpus_rng.s[0] = 0x2121212121212121ULL;
+  record.corpus_rng.s[1] = 0x2222222222222222ULL;
+  record.corpus_rng.s[2] = 0x2323232323232323ULL;
+  record.corpus_rng.s[3] = 0x2424242424242424ULL;
+  record.iterations = 4200;
+  record.corpus = {{GoldenInput(0x30), 97, 12, 5, true},
+                   {GoldenInput(0x31), 98, 13, 6, false}};
+  record.virgin.Append(3, 0x01);
+  record.virgin.Append(700, 0x80);
+  record.crash_ids = {"kvm-a"};
+  record.crash_inputs = {GoldenInput(0x64)};
+  record.executions = 4217;
+  record.watchdog_restarts = 1;
+  record.snapshot_hits = 4000;
+  record.snapshot_misses = 217;
+  record.config_memo_hits = 4100;
+  record.restore_ns = 987654321;
+  record.findings = {{AnomalyKind::kVmCrash, "kvm-a", "vm crash"}};
+  record.vmx_suppressed_checks = {1, 2};
+  record.vmx_learned_fixups = {0, 2};
+  record.svm_suppressed_checks = {3};
+  record.host_crashed = 1;
+  record.host_restarts = 3;
+  record.covered = {7, 94};
+  record.hit_events = 5123;
+  record.imports = 42;
+  return record;
+}
+
+SnapshotMergedStateRecord MakeGoldenMergedState() {
+  SnapshotMergedStateRecord record;
+  record.epochs_covered = 10;
+  record.virgin.Append(1, 0x01);
+  record.virgin.Append(40000, 0xC0);
+  record.covered = {3, 94};
+  record.findings = {{AnomalyKind::kUbsan, "kvm-ub", "UBSAN shift"}};
+  record.prior_pool_end = 2;
+  record.pool_end = 4;
+  record.pool_origins = {2, 1};
+  record.pool_inputs = {GoldenInput(0x40), GoldenInput(0x41)};
+  record.series_iterations = {500, 1000};
+  record.series_percents = {10.5, 79.66101694915254};
+  record.total_iterations = 1500;
+  record.feedback_virgin.Append(12, 0x02);
+  return record;
+}
+
+CampaignSnapshotRecord MakeGoldenCampaignSnapshot() {
+  CampaignSnapshotRecord record;  // The magic is the one legal value.
+  record.epochs_covered = 10;
+  record.workers = 4;
+  record.checksum = 0x0123456789ABCDEFULL;
+  return record;
+}
+
+std::string Hex(const wire::Buffer& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  return hex;
+}
+
+wire::Buffer Unhex(std::string_view hex) {
+  wire::Buffer bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// The hex of each golden frame, as the v6 codec wrote it.
+constexpr std::string_view kGoldenDelta =
+    "01068d0000000300000008070605040302017d00000000000000040000000000"
+    "0000020000000102000083ffff0000ff020000005e0000007500000002000000"
+    "03000000a5105a03000000a5115a0200000001050000006b766d2d6107000000"
+    "4b4153414e206106050000006b766d2d62060000007761726e20620100000005"
+    "0000006b766d2d610100000003000000a5615a";
+constexpr std::string_view kGoldenSample =
+    "0206200000000400000000000000e02e0000000000008fad081a4eea53405e00"
+    "000000000000";
+constexpr std::string_view kGoldenFinding =
+    "03062c000000030000000000000001000000020a00000078656e2d736861646f"
+    "770d00000042554720617420736861646f77";
+constexpr std::string_view kGoldenCorpusSync =
+    "04061c00000009000000000000000200000017000000000000003a0000000000"
+    "0000";
+constexpr std::string_view kGoldenShardDone =
+    "05063c0000000300000088130000000000000000000000505440600000000000"
+    "0000530000000000000004000000000000003b00000000000000020000000000"
+    "0000";
+constexpr std::string_view kGoldenFinish =
+    "06063c000000040000001800000000000000204e000000000000000000000020"
+    "54405f0000000000000076000000000000000600000000000000a60000000000"
+    "0000";
+constexpr std::string_view kGoldenFeedback =
+    "07062c0000000b00000000000000030000000200000003000000a5205a030000"
+    "00a5215a020000000c00000001409c0000c0";
+constexpr std::string_view kGoldenResult =
+    "0806c700000001000000a9fbf2d88a2054405f00000000000000760000000000"
+    "000002000000030000005e0000000100000005060000006b766d2d6770120000"
+    "0067656e6572616c2070726f74656374696f6e88130000000000005300000000"
+    "0000000200000000000000c30100000000000007000000000000003b00000000"
+    "000000c012000000000000c800000000000000ca1200000000000015cd5b0700"
+    "00000002000000060000006b766d2d6770060000006b766d2d75640200000003"
+    "000000a5625a03000000a5635a";
+constexpr std::string_view kGoldenConfig =
+    "090664000000030000006b766d0200000004000000180000000000000001204e"
+    "0000000000000c00000007000000000000000101200000001900000000000080"
+    "00000010000000000000000b0000006f75742f637261736865730a0000000000"
+    "00000500000000000000";
+constexpr std::string_view kGoldenHello = "0a06080000004b53434e05000000";
+constexpr std::string_view kGoldenManifest =
+    "0b06550000004e434a4d09000000000000000800000000000000020000000000"
+    "00001800000000000000040000000c00000001204e0000000000000700000000"
+    "00000001012000000019000000000000800000000300000078656e";
+constexpr std::string_view kGoldenEpochCommit =
+    "0c06440000000500000000000000040000000df0fecaefbeadde881300000000"
+    "00005f0000000000000053000000000000000200000000000000030000000000"
+    "0000a9fbf2d88a205440";
+constexpr std::string_view kGoldenCrashArtifact =
+    "0d06470000000300000000000000030900000076626f782d68616e6709000000"
+    "686f73742068616e670a0000007669727475616c626f7803000000616d649c01"
+    "00000000000003000000a55c5a";
+constexpr std::string_view kGoldenWorkerState =
+    "0e0641010000020000000a000000000000001111111111111111121212121212"
+    "1212131313131313131314141414141414142121212121212121222222222222"
+    "2222232323232323232324242424242424246810000000000000020000000300"
+    "0000a5305a61000000000000000c000000000000000500000000000000010300"
+    "0000a5315a62000000000000000d000000000000000600000000000000000200"
+    "00000300000001bc0200008001000000050000006b766d2d6101000000030000"
+    "00a5645a79100000000000000100000000000000a00f000000000000d9000000"
+    "000000000410000000000000b168de3a000000000100000004050000006b766d"
+    "2d6108000000766d206372617368020000000100020002000000000201000000"
+    "030001030000000000000002000000070000005e00000003140000000000002a"
+    "00000000000000";
+constexpr std::string_view kGoldenMergedState =
+    "0f069f0000000a00000000000000020000000100000001409c0000c002000000"
+    "030000005e0000000100000000060000006b766d2d75620b000000554253414e"
+    "2073686966740200000000000000040000000000000002000000020000000300"
+    "0000a5405a0100000003000000a5415a02000000f40100000000000000000000"
+    "00002540e8030000000000008fad081a4eea5340dc0500000000000001000000"
+    "0c00000002";
+constexpr std::string_view kGoldenCampaignSnapshot =
+    "1006180000004e4353500a0000000000000004000000efcdab8967452301";
+
+struct GoldenFrame {
+  std::string name;
+  wire::RecordType type;
+  std::string_view hex;
+  std::function<wire::Buffer()> encode;  // Encode(Make*()).
+  // Decodes a frame and re-encodes the result; false if Decode rejects.
+  std::function<bool(const wire::Buffer&, wire::Buffer*)> reencode;
+  wire::Buffer empty;  // Encode() of the default-constructed record.
+};
+
+template <typename Record>
+GoldenFrame Golden(std::string name, wire::RecordType type,
+                   std::string_view hex, Record (*make)()) {
+  // One decoded object is reused across calls, so a decode that skips
+  // or appends to a field shows up when a second frame decodes into it.
+  auto decoded = std::make_shared<Record>();
+  return {std::move(name), type, hex,
+          [make] { return wire::Encode(make()); },
+          [decoded](const wire::Buffer& frame, wire::Buffer* out) {
+            if (!wire::Decode(frame, decoded.get())) return false;
+            *out = wire::Encode(*decoded);
+            return true;
+          },
+          wire::Encode(Record{})};
+}
+
+// The zero-copy overload writes the queue section from pointers; its frame
+// must be the owning encoder's golden frame.
+wire::Buffer EncodeGoldenDeltaByReference() {
+  const ShardDelta owning = MakeGoldenDelta();
+  std::vector<const FuzzInput*> refs;
+  for (const FuzzInput& input : owning.queue_entries) {
+    refs.push_back(&input);
+  }
+  ShardDelta referencing = owning;
+  referencing.queue_entries.clear();
+  return wire::Encode(referencing, refs);
+}
+
+std::vector<GoldenFrame> GoldenFrames() {
+  using wire::RecordType;
+  std::vector<GoldenFrame> frames = {
+      Golden("ShardDelta", RecordType::kShardDelta, kGoldenDelta,
+             MakeGoldenDelta),
+      Golden("SampleEvent", RecordType::kSample, kGoldenSample,
+             MakeGoldenSample),
+      Golden("FindingEvent", RecordType::kFinding, kGoldenFinding,
+             MakeGoldenFinding),
+      Golden("CorpusSyncEvent", RecordType::kCorpusSync, kGoldenCorpusSync,
+             MakeGoldenCorpusSync),
+      Golden("ShardDoneEvent", RecordType::kShardDone, kGoldenShardDone,
+             MakeGoldenShardDone),
+      Golden("FinishEvent", RecordType::kFinish, kGoldenFinish,
+             MakeGoldenFinish),
+      Golden("FeedbackRecord", RecordType::kFeedback, kGoldenFeedback,
+             MakeGoldenFeedback),
+      Golden("ShardResultRecord", RecordType::kShardResult, kGoldenResult,
+             MakeGoldenResult),
+      Golden("ShardChildConfigRecord", RecordType::kChildConfig,
+             kGoldenConfig, MakeGoldenConfig),
+      Golden("ShardHelloRecord", RecordType::kShardHello, kGoldenHello,
+             MakeGoldenHello),
+      Golden("CampaignManifestRecord", RecordType::kManifest,
+             kGoldenManifest, MakeGoldenManifest),
+      Golden("EpochCommitRecord", RecordType::kEpochCommit,
+             kGoldenEpochCommit, MakeGoldenEpochCommit),
+      Golden("CrashArtifactRecord", RecordType::kCrashArtifact,
+             kGoldenCrashArtifact, MakeGoldenCrashArtifact),
+      Golden("WorkerStateRecord", RecordType::kWorkerState,
+             kGoldenWorkerState, MakeGoldenWorkerState),
+      Golden("SnapshotMergedStateRecord", RecordType::kSnapshotMerged,
+             kGoldenMergedState, MakeGoldenMergedState),
+      Golden("CampaignSnapshotRecord", RecordType::kCampaignSnapshot,
+             kGoldenCampaignSnapshot, MakeGoldenCampaignSnapshot),
+  };
+  GoldenFrame by_reference = frames.front();
+  by_reference.name = "ShardDelta(zero-copy)";
+  by_reference.encode = EncodeGoldenDeltaByReference;
+  frames.push_back(std::move(by_reference));
+  return frames;
+}
+
+TEST(WireTest, GoldenV6FramesAreByteIdentical) {
+  ASSERT_EQ(wire::kVersion, 6);
+  for (const GoldenFrame& golden : GoldenFrames()) {
+    SCOPED_TRACE(golden.name);
+    const wire::Buffer frame = Unhex(golden.hex);
+    EXPECT_EQ(Hex(golden.encode()), golden.hex);
+    ASSERT_GE(frame.size(), wire::kFrameHeaderSize);
+    EXPECT_EQ(frame[0], static_cast<uint8_t>(golden.type));
+
+    // Decode accepts the frame and re-encodes it byte for byte; a second
+    // decode into the same object (now the default record's frame) must
+    // overwrite every field, not merge into the previous contents.
+    wire::Buffer reencoded;
+    ASSERT_TRUE(golden.reencode(frame, &reencoded));
+    EXPECT_EQ(Hex(reencoded), golden.hex);
+    ASSERT_TRUE(golden.reencode(golden.empty, &reencoded));
+    EXPECT_EQ(Hex(reencoded), Hex(golden.empty));
+    ASSERT_TRUE(golden.reencode(frame, &reencoded));
+    EXPECT_EQ(Hex(reencoded), golden.hex);
+  }
+}
+
+TEST(WireTest, EveryRecordTypeHasAGoldenFrame) {
+  const std::vector<GoldenFrame> frames = GoldenFrames();
+  for (uint8_t type = static_cast<uint8_t>(wire::RecordType::kShardDelta);
+       type <= static_cast<uint8_t>(wire::RecordType::kCampaignSnapshot);
+       ++type) {
+    bool found = false;
+    for (const GoldenFrame& golden : frames) {
+      found = found || golden.type == static_cast<wire::RecordType>(type);
+    }
+    EXPECT_TRUE(found) << "record type " << int{type};
+  }
+}
+
+TEST(WireTest, GoldenFramesWithOneExtraPayloadByteAreRejected) {
+  // A frame whose header length covers one byte more than the record's
+  // fields: OpenFrame accepts it, so only the exact-payload-length check
+  // at the end of the walk stands between it and a silent accept.
+  for (const GoldenFrame& golden : GoldenFrames()) {
+    SCOPED_TRACE(golden.name);
+    wire::Buffer frame = Unhex(golden.hex);
+    frame.push_back(0);
+    const uint32_t length =
+        static_cast<uint32_t>(frame.size() - wire::kFrameHeaderSize);
+    for (size_t i = 0; i < 4; ++i) {
+      frame[2 + i] = static_cast<uint8_t>(length >> (8 * i));
+    }
+    wire::Buffer reencoded;
+    EXPECT_FALSE(golden.reencode(frame, &reencoded));
+  }
+}
+
+TEST(WireTest, ChildConfigStartEpochPastEpochsIsRejected) {
+  // A tail that would start after the schedule ends: nothing legitimate
+  // encodes it, so the decoder refuses it.
+  ShardChildConfigRecord decoded;
+  ShardChildConfigRecord record = MakeGoldenConfig();
+  record.start_epoch = record.epochs;
+  EXPECT_TRUE(wire::Decode(wire::Encode(record), &decoded));
+  record.start_epoch = record.epochs + 1;
+  EXPECT_FALSE(wire::Decode(wire::Encode(record), &decoded));
+}
+
+TEST(WireTest, ManifestSnapshotPastCommitPointIsRejected) {
+  // The snapshot a manifest names must cover a committed prefix.
+  CampaignManifestRecord decoded;
+  CampaignManifestRecord record = MakeGoldenManifest();
+  record.snapshot_epochs = record.committed_epochs;
+  EXPECT_TRUE(wire::Decode(wire::Encode(record), &decoded));
+  record.snapshot_epochs = record.committed_epochs + 1;
+  EXPECT_FALSE(wire::Decode(wire::Encode(record), &decoded));
 }
 
 }  // namespace
